@@ -254,7 +254,11 @@ fn generate(args: &Args) -> Result<(), Box<dyn Error>> {
             cfg.routes,
             cfg.vehicles_per_route,
             cfg.reports_per_vehicle,
-            if cfg.geo_origin.is_some() { " (geodetic)" } else { "" },
+            if cfg.geo_origin.is_some() {
+                " (geodetic)"
+            } else {
+                ""
+            },
         );
         return Ok(());
     }
@@ -766,7 +770,12 @@ fn stream_cmd(args: &Args) -> Result<(), Box<dyn Error>> {
         eprintln!("termination signal received: draining stream state");
     }
 
-    finish_stream(args, &mut miner, checkpoint_path.as_deref(), Some(&feed_stats))
+    finish_stream(
+        args,
+        &mut miner,
+        checkpoint_path.as_deref(),
+        Some(&feed_stats),
+    )
 }
 
 /// Prints the periodic top-k snapshot line (and refreshes the
@@ -1323,13 +1332,21 @@ mod tests {
         };
         let listen = format!("127.0.0.1:{port}");
         let sender_args = args(&["feed", "send", "--input", &events_str, "--listen", &listen]);
-        let sender =
-            std::thread::spawn(move || dispatch(&sender_args).map_err(|e| e.to_string()));
+        let sender = std::thread::spawn(move || dispatch(&sender_args).map_err(|e| e.to_string()));
         // Wait for the listener to come up before the client connects.
         std::thread::sleep(std::time::Duration::from_millis(100));
 
         let common = [
-            "--window", "8", "--k", "3", "--grid", "6", "--max-len", "3", "--bbox", "0,0,1,1",
+            "--window",
+            "8",
+            "--k",
+            "3",
+            "--grid",
+            "6",
+            "--max-len",
+            "3",
+            "--bbox",
+            "0,0,1,1",
         ];
         let sock_json = dir.join("sock.json");
         let mut over_socket = vec!["stream", "--input"];

@@ -22,7 +22,7 @@ pub const SNAPSHOT_DIR: &str = "snapshots";
 pub const SHARD_DIR: &str = "shards";
 
 /// Per-shard stream checkpoint file name inside a shard's store
-/// directory (`trajpattern-checkpoint v2` format, written by the live
+/// directory (`trajpattern-checkpoint v3` format, written by the live
 /// ingester so `serve --live` resumes per shard after a restart).
 pub const SHARD_CHECKPOINT_FILE: &str = "stream.ckpt";
 

@@ -25,8 +25,10 @@
 //!   `certified_topk` comparator, ties broken by the fixed fold order
 //!   (sorted shard names), so the merged document is bit-stable;
 //! * **restartability** — each shard checkpoints its miner as
-//!   `trajpattern-checkpoint v2`; relaunching resumes every shard and
-//!   skips already-processed events, continuing bit-identically.
+//!   `trajpattern-checkpoint v3` (window plus ledger patterns; resume
+//!   rescores the ledger rows, 7–31 ms for a 64-record window);
+//!   relaunching resumes every shard and skips already-processed
+//!   events, continuing bit-identically.
 //!
 //! [`Fleet::launch`] binds the server and spawns one ingester thread
 //! per shard; [`Fleet::run`] serves until shutdown, then stops the
@@ -65,8 +67,9 @@ pub struct ShardSpec {
     pub name: String,
     /// Where the shard's records come from.
     pub source: ShardSource,
-    /// `trajpattern-checkpoint v2` file: resumed at launch when it
-    /// exists, rewritten on every published swap and at shutdown.
+    /// `trajpattern-checkpoint v3` file (a v2 file from an earlier
+    /// release also resumes): resumed at launch when it exists,
+    /// rewritten on every published swap and at shutdown.
     pub checkpoint: Option<PathBuf>,
 }
 
@@ -489,9 +492,7 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(&specs[0].source, ShardSource::Events(_)));
-        assert!(
-            matches!(&specs[1].source, ShardSource::EventsTcp(a) if a == "10.0.0.2:9009")
-        );
+        assert!(matches!(&specs[1].source, ShardSource::EventsTcp(a) if a == "10.0.0.2:9009"));
         assert!(matches!(&specs[2].source, ShardSource::Dr(_)));
         assert!(matches!(&specs[3].source, ShardSource::DrTcp(a) if a == "h:1"));
     }

@@ -1,14 +1,14 @@
 //! Shared persistence primitives for the trajpattern on-disk formats.
 //!
 //! Every text artifact in the workspace — checkpoint v1 (`trajpattern`),
-//! checkpoint v2 (`trajstream`), the `trajmine-snapshot/v1` JSON
-//! (`trajserve`), and the `.events` log (`trajdata`) — was originally
-//! written with its own copy of the same four primitives: the 16-digit
-//! f64 bit-hex codec, a line cursor with positional errors, a
-//! version-line sniff, and the atomic tmp+rename writer. This crate is
-//! the single home for those primitives; the formats themselves are
-//! frozen byte-for-byte (see the golden-file tests at the workspace
-//! root), only the implementations live here.
+//! checkpoint v3 (`trajstream`, which still reads v2), the
+//! `trajmine-snapshot/v1` JSON (`trajserve`), and the `.events` log
+//! (`trajdata`) — was originally written with its own copy of the same
+//! four primitives: the 16-digit f64 bit-hex codec, a line cursor with
+//! positional errors, a version-line sniff, and the atomic tmp+rename
+//! writer. This crate is the single home for those primitives; the
+//! formats themselves are frozen byte-for-byte (see the golden-file
+//! tests at the workspace root), only the implementations live here.
 //!
 //! The crate is std-only and dependency-free so it can sit below every
 //! other crate in the workspace, including `trajdata`.
@@ -63,11 +63,34 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// Encodes raw `u64` bits as exactly 16 lowercase hex digits — the token
-/// format every text codec in the workspace uses for `f64` values and
-/// fingerprint bit patterns. This is the only place the width lives.
+/// Width of every bit-hex token: one lowercase hex digit per nibble of a
+/// `u64`. This is the only place the width lives.
+const HEX_DIGITS: usize = 16;
+
+/// Appends raw `u64` bits to `out` as exactly 16 lowercase hex digits —
+/// the token format every text codec in the workspace uses for `f64`
+/// values and fingerprint bit patterns. Allocates nothing beyond growing
+/// `out`, so writers that emit thousands of tokens build one buffer.
+pub fn push_bits_hex(out: &mut String, bits: u64) {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut buf = [0u8; HEX_DIGITS];
+    for (i, b) in buf.iter_mut().enumerate() {
+        *b = DIGITS[(bits >> (4 * (HEX_DIGITS - 1 - i)) & 0xf) as usize];
+    }
+    out.push_str(std::str::from_utf8(&buf).expect("hex digits are ASCII"));
+}
+
+/// Appends the bit-hex of an `f64`'s IEEE-754 representation to `out`
+/// ([`push_bits_hex`] of its bits).
+pub fn push_f64_hex(out: &mut String, v: f64) {
+    push_bits_hex(out, v.to_bits());
+}
+
+/// [`push_bits_hex`] into a fresh `String`.
 pub fn bits_hex(bits: u64) -> String {
-    format!("{bits:016x}")
+    let mut s = String::with_capacity(HEX_DIGITS);
+    push_bits_hex(&mut s, bits);
+    s
 }
 
 /// Encodes an `f64` as the bit-hex of its IEEE-754 representation.
@@ -79,9 +102,9 @@ pub fn f64_hex(v: f64) -> String {
 
 /// Decodes a 16-digit hex token back to raw `u64` bits.
 pub fn u64_from_hex(s: &str) -> Result<u64, CodecError> {
-    if s.len() != 16 {
+    if s.len() != HEX_DIGITS {
         return Err(CodecError::new(format!(
-            "expected 16 hex digits, got '{s}'"
+            "expected {HEX_DIGITS} hex digits, got '{s}'"
         )));
     }
     u64::from_str_radix(s, 16).map_err(|_| CodecError::new(format!("bad f64 bit pattern '{s}'")))
@@ -133,7 +156,7 @@ pub fn section<'a>(text: &'a str, tag: &str) -> Result<Vec<&'a str>, CodecError>
 /// * [`LineCursor::strict`] — yields every line verbatim; blank lines
 ///   are content (checkpoint v1).
 /// * [`LineCursor::lenient`] — skips blank lines and yields trimmed
-///   content (checkpoint v2).
+///   content (stream checkpoints, v2 and v3).
 #[derive(Debug)]
 pub struct LineCursor<'a> {
     lines: std::str::Lines<'a>,

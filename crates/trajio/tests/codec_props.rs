@@ -1,13 +1,14 @@
 //! Round-trip property tests for the shared codec primitives: the f64
-//! bit-hex codec over the full bit space (NaN payloads, infinities,
-//! signed zeros, subnormals), section lines, cursors, and version
+//! bit-hex codec and its appending writer over the full bit space (NaN
+//! payloads, infinities, signed zeros, subnormals), section lines, cursors, and version
 //! sniffing over torn or garbage prefixes. These are the primitive-level
 //! tests that previously existed only implicitly inside each format's
 //! own round-trip suite.
 
 use proptest::prelude::*;
 use trajio::{
-    bits_hex, f64_from_hex, f64_hex, first_content_line, section, u64_from_hex, LineCursor,
+    bits_hex, f64_from_hex, f64_hex, first_content_line, push_bits_hex, push_f64_hex, section,
+    u64_from_hex, LineCursor,
 };
 
 /// Bit patterns covering every f64 class: mostly raw random bits, with a
@@ -40,6 +41,21 @@ proptest! {
         prop_assert!(s.bytes().all(|b| b.is_ascii_hexdigit()));
         prop_assert_eq!(f64_from_hex(&s).unwrap().to_bits(), bits);
         prop_assert_eq!(u64_from_hex(&bits_hex(bits)).unwrap(), bits);
+    }
+
+    #[test]
+    fn push_hex_writer_is_byte_equal_to_f64_hex(bits in arb_bits(), prefix in 0usize..3) {
+        // The writers append after whatever the buffer already holds.
+        let v = f64::from_bits(bits);
+        let mut out = "w 1".repeat(prefix);
+        let start = out.len();
+        push_f64_hex(&mut out, v);
+        prop_assert_eq!(&out[start..], f64_hex(v).as_str());
+        // Independent reference: std's own zero-padded formatter.
+        prop_assert_eq!(&out[start..], format!("{bits:016x}").as_str());
+        let mut raw = String::new();
+        push_bits_hex(&mut raw, bits);
+        prop_assert_eq!(raw, bits_hex(bits));
     }
 
     #[test]
@@ -116,33 +132,33 @@ proptest! {
         if comment == 1 {
             text.push_str("# generated by a tool\n");
         }
-        text.push_str("trajpattern-checkpoint v2\npayload\n");
+        text.push_str("trajpattern-checkpoint v3\npayload\n");
         prop_assert_eq!(
             first_content_line(&text, true),
-            Some("trajpattern-checkpoint v2")
+            Some("trajpattern-checkpoint v3")
         );
         let no_comments = first_content_line(&text, false);
         if comment == 1 {
             prop_assert_eq!(no_comments, Some("# generated by a tool"));
         } else {
-            prop_assert_eq!(no_comments, Some("trajpattern-checkpoint v2"));
+            prop_assert_eq!(no_comments, Some("trajpattern-checkpoint v3"));
         }
     }
 
     #[test]
     fn torn_version_prefix_never_sniffs_as_the_version(cut in 1usize..25) {
-        let torn = &"trajpattern-checkpoint v2"[..cut];
+        let torn = &"trajpattern-checkpoint v3"[..cut];
         let text = format!("{torn}\nmore garbage\n");
         prop_assert_ne!(
             first_content_line(&text, false),
-            Some("trajpattern-checkpoint v2")
+            Some("trajpattern-checkpoint v3")
         );
     }
 
     #[test]
     fn garbage_prefix_sniffs_as_itself(noise in prop::collection::vec(33u8..94, 1..12)) {
         let garbage: String = noise.iter().map(|&b| b as char).collect();
-        let text = format!("{garbage}\ntrajpattern-checkpoint v2\n");
+        let text = format!("{garbage}\ntrajpattern-checkpoint v3\n");
         prop_assert_eq!(first_content_line(&text, false), Some(garbage.as_str()));
     }
 }

@@ -177,8 +177,6 @@ impl Fingerprint {
     }
 }
 
-use trajio::f64_hex as hex;
-
 fn err(line: usize, message: impl Into<String>) -> CheckpointError {
     CheckpointError::Format {
         line,
@@ -186,16 +184,20 @@ fn err(line: usize, message: impl Into<String>) -> CheckpointError {
     }
 }
 
-/// Serializes `state` to the v1 text format.
+/// Serializes `state` to the v1 text format. Hex tokens go straight into
+/// the one output buffer through [`trajio::push_f64_hex`].
 pub(crate) fn encode(state: &GrowthState, fp: &Fingerprint) -> String {
+    use std::fmt::Write;
     let mut out = String::new();
     out.push_str(VERSION_LINE);
-    out.push('\n');
-    out.push_str(&format!(
-        "fingerprint {} {} {} {} {} {} {} {} {} {}\n",
-        fp.k,
-        trajio::bits_hex(fp.delta_bits),
-        trajio::bits_hex(fp.min_prob_bits),
+    out.push_str("\nfingerprint ");
+    write!(out, "{} ", fp.k).expect("writing to a String cannot fail");
+    trajio::push_bits_hex(&mut out, fp.delta_bits);
+    out.push(' ');
+    trajio::push_bits_hex(&mut out, fp.min_prob_bits);
+    writeln!(
+        out,
+        " {} {} {} {} {} {} {}",
         fp.min_len,
         fp.max_len,
         fp.bound_prune as u8,
@@ -203,27 +205,31 @@ pub(crate) fn encode(state: &GrowthState, fp: &Fingerprint) -> String {
         fp.num_trajectories,
         fp.total_snapshots,
         fp.grid_cells,
-    ));
-    out.push_str(&format!("omega {}\n", hex(state.omega)));
-    out.push_str(&format!("nm_best {}\n", hex(state.nm_best)));
-    out.push_str(&format!("converged {}\n", state.converged as u8));
+    )
+    .expect("writing to a String cannot fail");
+    out.push_str("omega ");
+    trajio::push_f64_hex(&mut out, state.omega);
+    out.push_str("\nnm_best ");
+    trajio::push_f64_hex(&mut out, state.nm_best);
+    writeln!(out, "\nconverged {}", state.converged as u8)
+        .expect("writing to a String cannot fail");
     out.push_str("stats");
     for v in state.stats.persisted_values() {
-        out.push_str(&format!(" {v}"));
+        write!(out, " {v}").expect("writing to a String cannot fail");
     }
     out.push('\n');
     let tracker_values = state.qual_tracker.values();
-    out.push_str(&format!("tracker {}", tracker_values.len()));
+    write!(out, "tracker {}", tracker_values.len()).expect("writing to a String cannot fail");
     for v in &tracker_values {
         out.push(' ');
-        out.push_str(&hex(*v));
+        trajio::push_f64_hex(&mut out, *v);
     }
-    out.push('\n');
-    out.push_str(&format!("patterns {}\n", state.store.count()));
+    writeln!(out, "\npatterns {}", state.store.count()).expect("writing to a String cannot fail");
     for (id, p) in state.store.patterns().iter().enumerate() {
-        out.push_str(&format!("p {}", hex(state.store.nm(id as u32))));
+        out.push_str("p ");
+        trajio::push_f64_hex(&mut out, state.store.nm(id as u32));
         for c in p.cells() {
-            out.push_str(&format!(" {}", c.0));
+            write!(out, " {}", c.0).expect("writing to a String cannot fail");
         }
         out.push('\n');
     }
@@ -235,18 +241,10 @@ pub(crate) fn encode(state: &GrowthState, fp: &Fingerprint) -> String {
         state.enumerated_high.iter().copied(),
     );
     // `fresh` is ordered — written verbatim, NOT sorted.
-    out.push_str(&format!("fresh {}", state.fresh.len()));
-    for id in &state.fresh {
-        out.push_str(&format!(" {id}"));
-    }
-    out.push('\n');
+    push_ints(&mut out, "fresh", state.fresh.iter());
     let mut tried: Vec<u64> = state.tried.iter().copied().collect();
     tried.sort_unstable();
-    out.push_str(&format!("tried {}", tried.len()));
-    for key in &tried {
-        out.push_str(&format!(" {key}"));
-    }
-    out.push('\n');
+    push_ints(&mut out, "tried", tried.iter());
     out.push_str("end\n");
     out
 }
@@ -255,9 +253,19 @@ pub(crate) fn encode(state: &GrowthState, fp: &Fingerprint) -> String {
 fn push_id_section(out: &mut String, name: &str, ids: impl Iterator<Item = u32>) {
     let mut v: Vec<u32> = ids.collect();
     v.sort_unstable();
-    out.push_str(&format!("{name} {}", v.len()));
-    for id in &v {
-        out.push_str(&format!(" {id}"));
+    push_ints(out, name, v.iter());
+}
+
+/// Writes a `name <n> <v>…` section line in the given order.
+fn push_ints<T: fmt::Display>(
+    out: &mut String,
+    name: &str,
+    values: impl ExactSizeIterator<Item = T>,
+) {
+    use std::fmt::Write;
+    write!(out, "{name} {}", values.len()).expect("writing to a String cannot fail");
+    for v in values {
+        write!(out, " {v}").expect("writing to a String cannot fail");
     }
     out.push('\n');
 }

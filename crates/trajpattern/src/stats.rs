@@ -10,7 +10,7 @@
 //!   `trajmine serve` loads);
 //! - **checkpoint lines**, as space-separated integers in field order
 //!   (the `stats` line of `trajpattern-checkpoint v1`, the `stats` and
-//!   `mstats` lines of `trajstream-checkpoint v2`);
+//!   `mstats` lines of the `trajpattern-checkpoint` v2 and v3 stream formats);
 //! - **Prometheus gauges**, via [`prometheus_counters`] on the trajserve
 //!   `/metrics` endpoint.
 //!
@@ -257,7 +257,7 @@ mod tests {
     #[test]
     fn mining_stats_line_order_is_frozen() {
         // The checkpoint `stats` / `mstats` line layout — changing this
-        // list breaks the v1/v2 formats (and the golden-file tests).
+        // list breaks the v1/v2/v3 formats (and the golden-file tests).
         assert_eq!(
             MiningStats::persisted_names(),
             vec![

@@ -21,8 +21,9 @@
 //! NM survive the trip bit-exactly — the server's `/score` can therefore
 //! reproduce the library scorer's results on the loaded snapshot down to
 //! the last bit. [`Snapshot::load`] also accepts a `trajstream`
-//! checkpoint (`trajpattern-checkpoint v2`), sniffed by its first line,
-//! so `trajmine stream --checkpoint` output can be served directly.
+//! checkpoint (`trajpattern-checkpoint v3`, or a v2 file from an earlier
+//! release), sniffed by its first line, so `trajmine stream --checkpoint`
+//! output can be served directly.
 
 use serde_json::Value;
 use std::fmt;
@@ -252,8 +253,8 @@ impl Snapshot {
     }
 
     /// Loads a snapshot from disk: a `trajstream` checkpoint when the
-    /// first non-blank line is the v2 checkpoint header, snapshot JSON
-    /// otherwise.
+    /// first non-blank line is a v3 or v2 checkpoint header, snapshot
+    /// JSON otherwise.
     pub fn load(path: &Path) -> Result<Snapshot, SnapshotError> {
         let text = std::fs::read_to_string(path).map_err(|e| SnapshotError::Io {
             path: path.to_path_buf(),
@@ -266,7 +267,7 @@ impl Snapshot {
     /// dispatches to the checkpoint or JSON parser.
     pub fn parse_any(text: &str) -> Result<Snapshot, SnapshotError> {
         let first = trajio::first_content_line(text, false).unwrap_or("");
-        if first == trajstream::STREAM_VERSION_LINE {
+        if trajstream::is_stream_version_line(first) {
             let miner = trajstream::parse_checkpoint(text)?;
             Ok(Snapshot::from_stream(&miner))
         } else {

@@ -29,8 +29,9 @@
 //! `tests/stream_batch_identity.rs`, including across checkpoint/resume).
 //! [`StreamStats`] counts deltas, repairs and repair depth so operators
 //! can see how often certification failed. Stream state checkpoints to a
-//! `trajpattern-checkpoint v2` file (window + ledger), reusing the v1
-//! error type and encoding conventions.
+//! `trajpattern-checkpoint v3` file (window + ledger pattern list; the
+//! ledger rows are recomputed on resume), reusing the v1 error type and
+//! encoding conventions.
 //!
 //! Memory note: the ledger retains every pattern the growth has ever
 //! scored (that is what makes steady-state events pure deltas), so it is
@@ -52,7 +53,7 @@ use trajpattern::{
     Pattern, PatternIndex, Scorer, SeedCertifier,
 };
 
-pub use checkpoint::{parse_checkpoint, STREAM_VERSION_LINE};
+pub use checkpoint::{is_stream_version_line, parse_checkpoint, STREAM_VERSION_LINE};
 pub use trajpattern::{CheckpointError, MiningOutcome, MiningStats, PatternGroup, ScorerStats};
 
 trajpattern::counter_stats! {
@@ -329,6 +330,13 @@ impl StreamMiner {
     /// first.
     pub fn window(&self) -> impl Iterator<Item = (u64, &Trajectory)> {
         self.window.iter().map(|(s, t)| (*s, t))
+    }
+
+    /// The contribution ledger: every tracked pattern with its row of
+    /// per-trajectory contributions `NM(P, T)`, aligned with
+    /// [`StreamMiner::window`] (oldest entry first).
+    pub fn ledger(&self) -> impl Iterator<Item = (&Pattern, &VecDeque<f64>)> {
+        self.ledger.patterns.iter().zip(&self.ledger.contribs)
     }
 
     /// The window contents as a batch [`Dataset`] (window order) — what

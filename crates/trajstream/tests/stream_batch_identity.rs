@@ -2,8 +2,8 @@
 //! the stream miner's top-k is bit-identical — same patterns, same NM bit
 //! patterns, same groups — to a from-scratch batch [`trajpattern::Miner`]
 //! run over the current window contents. Also across checkpoint/resume:
-//! a miner restored from a v2 checkpoint continues the stream exactly as
-//! one that never stopped.
+//! a miner restored from a v3 checkpoint (ledger rows recomputed from the
+//! window) continues the stream exactly as one that never stopped.
 
 use proptest::prelude::*;
 use trajdata::{Dataset, SnapshotPoint, Trajectory};

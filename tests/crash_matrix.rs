@@ -3,8 +3,8 @@
 //! replayed batch), recovery must yield exactly the committed-batch
 //! prefix, and re-mining the recovered store must be bit-identical to a
 //! run that never crashed. The same sweep is applied to the `.events`
-//! log, and the checkpoint writers' atomic-replace protocol is
-//! crash-simulated too.
+//! log and to every byte prefix of a stream checkpoint, and the
+//! checkpoint writers' atomic-replace protocol is crash-simulated too.
 
 use std::path::PathBuf;
 use trajdata::eventlog::{recover_event_log, write_event_log};
@@ -283,15 +283,28 @@ fn checkpoint_crash_leaves_either_old_or_new_state_never_a_hybrid() {
         std::fs::remove_file(&probe).unwrap();
         s
     };
-    let torn = &next_state[..next_state.len() / 2];
-    std::fs::write(dir.join("stream.ckpt.473.tmp"), torn).unwrap();
-    assert_eq!(
-        std::fs::read_to_string(&path).unwrap(),
-        state_a,
-        "a torn replacement never reaches the live checkpoint path"
-    );
-    let resumed = StreamMiner::resume(&path).unwrap();
-    assert_eq!(resumed.stats().arrivals, 4, "resume sees the old state");
+    assert!(next_state.starts_with("trajpattern-checkpoint v3\n"));
+    // Tear the v3 replacement mid-file, right after its ledger pattern
+    // list (the rows it no longer stores would have followed each cell
+    // list in v2), and just short of the closing `end`.
+    let ledger_end = next_state.find("\nmstats ").unwrap() + 1;
+    let tmp = dir.join("stream.ckpt.473.tmp");
+    for cut in [next_state.len() / 2, ledger_end, next_state.len() - 2] {
+        let torn = &next_state[..cut];
+        std::fs::write(&tmp, torn).unwrap();
+        assert!(
+            trajstream::parse_checkpoint(torn).is_err(),
+            "torn v3 checkpoint (cut {cut}) must not parse"
+        );
+        assert!(StreamMiner::resume(&tmp).is_err(), "cut {cut}");
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            state_a,
+            "a torn replacement never reaches the live checkpoint path"
+        );
+        let resumed = StreamMiner::resume(&path).unwrap();
+        assert_eq!(resumed.stats().arrivals, 4, "resume sees the old state");
+    }
 
     // Once the full write lands (the rename committed), resume sees the
     // new state — and re-checkpointing it is byte-identical.
@@ -302,5 +315,59 @@ fn checkpoint_crash_leaves_either_old_or_new_state_never_a_hybrid() {
     let rewrite = dir.join("rewrite.ckpt");
     resumed.checkpoint(&rewrite).unwrap();
     assert_eq!(std::fs::read_to_string(&rewrite).unwrap(), next_state);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn every_power_cut_of_a_v3_checkpoint_parses_whole_or_not_at_all() {
+    use trajstream::StreamMiner;
+    let dir = tmp_dir("ckpt-sweep");
+    std::fs::create_dir_all(&dir).unwrap();
+    let grid = Grid::new(BBox::unit(), 4, 4).unwrap();
+    let params = MiningParams::new(3, 0.1).unwrap().with_max_len(3).unwrap();
+    let mut miner = StreamMiner::new(grid, params).unwrap();
+    for i in 0..6 {
+        miner.slide(traj(300 + i), 4);
+    }
+    let path = dir.join("stream.ckpt");
+    miner.checkpoint(&path).unwrap();
+    let full = std::fs::read_to_string(&path).unwrap();
+    assert!(full.starts_with("trajpattern-checkpoint v3\n"));
+    assert!(full.contains("\nledger ") && full.contains("\nl 1 "));
+
+    // Whatever parses must re-encode to the complete file: a prefix may
+    // be rejected, never read as some older or partial stream.
+    let rewrite = dir.join("rewrite.ckpt");
+    let parses_whole = |text: &str, ctx: &str| -> bool {
+        let Ok(m) = trajstream::parse_checkpoint(text) else {
+            return false;
+        };
+        m.checkpoint(&rewrite).unwrap();
+        let back = std::fs::read_to_string(&rewrite).unwrap();
+        assert_eq!(back, full, "{ctx}: parsed a hybrid state");
+        true
+    };
+    let junk = [
+        "\0\0\0\0\0\0\0\0",
+        "\u{7f}\u{fffd} binary garbage",
+        "deadbeef 0 1\n",
+        "trajpattern-checkpoint v3\n",
+    ];
+    let mut accepted = Vec::new();
+    for cut in 0..=full.len() {
+        let prefix = &full[..cut];
+        if parses_whole(prefix, &format!("cut {cut}")) {
+            accepted.push(cut);
+        }
+        for (j, g) in junk.iter().enumerate() {
+            let ctx = format!("cut {cut} junk {j}");
+            if parses_whole(&format!("{prefix}{g}"), &ctx) {
+                assert!(cut + 1 >= full.len(), "{ctx}: parsed without 'end'");
+            }
+        }
+    }
+    // Only the cuts that keep the closing `end` parse: the whole file,
+    // and the whole file short of its final newline.
+    assert_eq!(accepted, vec![full.len() - 1, full.len()]);
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -97,7 +97,7 @@ fn batch_fixture() -> (Dataset, Grid, MiningParams) {
     (data, grid, params)
 }
 
-/// The deterministic stream the v2 fixture derives from: sliding window of
+/// The deterministic stream the stream checkpoint fixtures derive from: sliding window of
 /// 4 over 8 arrivals with slowly drifting rows (forces both certified
 /// passes and repairs).
 fn stream_fixture() -> StreamMiner {
@@ -183,22 +183,19 @@ fn checkpoint_v1_reader_loads_prerefactor_file() {
 }
 
 #[test]
-fn checkpoint_v2_writer_matches_golden() {
+fn checkpoint_v3_writer_matches_golden() {
     let m = stream_fixture();
-    let path = tmp_path("v2.ckpt");
+    let path = tmp_path("v3.ckpt");
     m.checkpoint(&path).unwrap();
     let produced = std::fs::read_to_string(&path).unwrap();
     std::fs::remove_file(&path).ok();
-    check_golden("checkpoint_v2.txt", &produced);
+    check_golden("checkpoint_v3.txt", &produced);
 }
 
-#[test]
-fn checkpoint_v2_reader_loads_prerefactor_file() {
+/// Asserts a miner restored from a committed fixture carries the stream
+/// fixture's state bit for bit.
+fn assert_restores_stream_fixture(restored: &StreamMiner) {
     let m = stream_fixture();
-    let path = tmp_path("v2-resume.ckpt");
-    std::fs::write(&path, read_golden("checkpoint_v2.txt")).unwrap();
-    let restored = StreamMiner::resume(&path).unwrap();
-    std::fs::remove_file(&path).ok();
     assert_eq!(restored.next_seq(), m.next_seq());
     assert_eq!(restored.stats(), m.stats());
     assert_eq!(restored.topk().len(), m.topk().len());
@@ -207,12 +204,30 @@ fn checkpoint_v2_reader_loads_prerefactor_file() {
         assert_eq!(a.nm.to_bits(), b.nm.to_bits());
     }
     assert_eq!(restored.groups(), m.groups());
-    // And a restored miner re-checkpoints byte-identically.
+}
+
+#[test]
+fn checkpoint_v3_reader_loads_committed_file() {
+    let restored = trajstream::parse_checkpoint(&read_golden("checkpoint_v3.txt")).unwrap();
+    assert_restores_stream_fixture(&restored);
+}
+
+#[test]
+fn checkpoint_v2_reader_loads_prerefactor_file() {
+    let path = tmp_path("v2-resume.ckpt");
+    std::fs::write(&path, read_golden("checkpoint_v2.txt")).unwrap();
+    let restored = StreamMiner::resume(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert_restores_stream_fixture(&restored);
+    let parsed = trajstream::parse_checkpoint(&read_golden("checkpoint_v2.txt")).unwrap();
+    assert_restores_stream_fixture(&parsed);
+    // v2 is read-only: a restored miner re-checkpoints as the v3 fixture,
+    // byte for byte.
     let path2 = tmp_path("v2-rewrite.ckpt");
     restored.checkpoint(&path2).unwrap();
     let rewritten = std::fs::read_to_string(&path2).unwrap();
     std::fs::remove_file(&path2).ok();
-    assert_eq!(rewritten, read_golden("checkpoint_v2.txt"));
+    assert_eq!(rewritten, read_golden("checkpoint_v3.txt"));
 }
 
 #[test]
@@ -242,9 +257,12 @@ fn snapshot_v1_reader_loads_prerefactor_file() {
     assert_eq!(snap.params.delta.to_bits(), params.delta.to_bits());
     assert_eq!(snap.stats, out.stats);
     assert_eq!(snap.scorer, out.scorer);
-    // The sniffing loader also accepts a v2 checkpoint fixture.
-    let via_sniff = Snapshot::parse_any(&read_golden("checkpoint_v2.txt")).unwrap();
-    assert!(via_sniff.stream.is_some());
+    // The sniffing loader also accepts both stream checkpoint fixtures,
+    // and they describe the same stream.
+    let v3 = Snapshot::parse_any(&read_golden("checkpoint_v3.txt")).unwrap();
+    let v2 = Snapshot::parse_any(&read_golden("checkpoint_v2.txt")).unwrap();
+    assert!(v3.stream.is_some());
+    assert_eq!(v2.to_json_pretty(), v3.to_json_pretty());
 }
 
 /// Builds the deterministic trajdb store the segment/manifest fixtures
